@@ -198,6 +198,7 @@ public:
 
   size_t liveNodes() const override { return Session.liveNodes(); }
   size_t peakLiveNodes() const override { return Session.peakLiveNodes(); }
+  uint64_t allocations() const override { return Session.allocations(); }
   size_t memoryFootprint() const override {
     return Session.memoryFootprint();
   }
@@ -400,6 +401,7 @@ public:
 
   size_t liveNodes() const override { return Session.liveNodes(); }
   size_t peakLiveNodes() const override { return Session.peakLiveNodes(); }
+  uint64_t allocations() const override { return Session.allocations(); }
   size_t memoryFootprint() const override {
     return Session.memoryFootprint();
   }

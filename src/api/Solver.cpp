@@ -336,8 +336,8 @@ SolveResult SolverSession::solveCompiled(const CompiledQuery &Q) {
   Stats.SummariesRecomputed += R.SummariesRecomputed;
   // Keep the lock-free footprint gauge current: a pool budgeting many
   // sessions reads it for leased-out sessions it cannot safely sample.
-  if (Session)
-    FootGauge.store(Session->memoryFootprint(), std::memory_order_relaxed);
+  // A warm query that allocated nothing leaves it as it was, unwalked.
+  memoryFootprint();
   return R;
 }
 
@@ -450,7 +450,7 @@ void SolverSession::setResourceGovernor(support::ResourceGovernor *G) {
 void SolverSession::clearComputedCache() {
   if (Session) {
     Session->clearComputedCache();
-    FootGauge.store(Session->memoryFootprint(), std::memory_order_relaxed);
+    memoryFootprint(); // The release is a resize: re-sampled.
   }
 }
 
@@ -463,9 +463,20 @@ size_t SolverSession::peakLiveNodes() const {
 }
 
 size_t SolverSession::memoryFootprint() const {
-  size_t F = Session ? Session->memoryFootprint() : 0;
-  FootGauge.store(F, std::memory_order_relaxed);
-  return F;
+  if (!Session)
+    return 0;
+  // The estimate walks every reachable node, which costs as much as a
+  // warm query. Memory can only have grown through an allocation (a node
+  // or a cache resize), so the walk reruns only when the session's
+  // allocation count has moved; otherwise the last sample stands. (A
+  // dropped handle may shrink the true figure meanwhile; the sample then
+  // errs high, the safe side for a budget.)
+  uint64_t Allocations = Session->allocations();
+  if (Allocations != FootSampledAt) {
+    FootGauge.store(Session->memoryFootprint(), std::memory_order_relaxed);
+    FootSampledAt = Allocations;
+  }
+  return FootGauge.load(std::memory_order_relaxed);
 }
 
 std::string Solver::formulaText(const Query &Q, const SolverOptions &Opts,

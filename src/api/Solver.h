@@ -434,9 +434,15 @@ public:
   virtual size_t liveNodes() const { return 0; }
   virtual size_t peakLiveNodes() const { return 0; }
 
+  /// Monotone count of allocations in the session's BDD managers (nodes
+  /// created plus computed-cache resizes, `BddStats::allocations`). The
+  /// session's memory can only have grown when it moved, so callers
+  /// re-sample `memoryFootprint` only then. 0 for stateless engines.
+  virtual uint64_t allocations() const { return 0; }
+
   /// Cheap estimate (bytes) of the session's resident solver state: live
-  /// nodes times their storage share plus the computed caches, with a
-  /// cleared-and-untouched cache discounted. This is the signal a
+  /// nodes times their storage share plus the computed caches as allocated
+  /// (a cleared cache counts at its release floor). This is the signal a
   /// memory-budgeted session pool evicts on — an estimate, not RSS.
   virtual size_t memoryFootprint() const { return 0; }
 };
@@ -629,6 +635,9 @@ private:
   /// Backs `lastSampledFootprint`; updated at the end of every query,
   /// cache clear, and `memoryFootprint` call.
   mutable std::atomic<size_t> FootGauge{0};
+  /// The engine session's `allocations()` when FootGauge was last
+  /// sampled: `memoryFootprint` re-walks the state only once it moves.
+  mutable uint64_t FootSampledAt = UINT64_MAX;
 };
 
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include <sys/mman.h>
+
 using namespace getafix;
 
 const char *getafix::bddOpName(BddOp Op) {
@@ -277,30 +279,36 @@ std::vector<int8_t> Bdd::onePath() const {
 // Manager: construction, variables, interning
 //===----------------------------------------------------------------------===//
 
-BddManager::BddManager(unsigned NumVars, unsigned CacheBits,
-                       unsigned CacheWays)
-    : NumVars(NumVars) {
-  Nodes.resize(2);
-  Nodes[0] = Node{TermVar, 0, 0, Invalid};
-  Nodes[1] = Node{TermVar, 1, 1, Invalid};
-  ExtRefs.resize(2, 1); // Terminals are permanently referenced.
-  Buckets.assign(1u << 12, Invalid);
+/// log2 of the cache associativity: \p CacheWays rounded up to a power of
+/// two and clamped so tiny caches keep at least one bucket.
+static unsigned wayBitsFor(unsigned CacheWays, unsigned CacheBits) {
   assert(CacheWays != 0 && (CacheWays & (CacheWays - 1)) == 0 &&
          "cache associativity must be a power of two");
-  // Total slots stay 2^CacheBits regardless of associativity, so the
-  // CacheBits knob means the same memory budget at every ways setting;
-  // tiny caches clamp to at least one bucket.
   unsigned WayBits = 0;
   while ((1u << WayBits) < CacheWays)
     ++WayBits;
-  if (WayBits > CacheBits)
-    WayBits = CacheBits;
-  this->CacheWays = 1u << WayBits;
-  CacheSlots = size_t(1) << CacheBits;
-  Cache.resize(CacheSlots + 64 / sizeof(CacheEntry) - 1);
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Cache.data());
-  CacheBase = Cache.data() + ((64 - (Addr & 63)) & 63) / sizeof(CacheEntry);
-  CacheBucketMask = (uint64_t(1) << (CacheBits - WayBits)) - 1;
+  return std::min(WayBits, CacheBits);
+}
+
+BddManager::BddManager(unsigned NumVars, unsigned CacheBits,
+                       unsigned CacheWays)
+    : NodeMem(MaxNodes * sizeof(Node)), RefMem(MaxNodes * sizeof(uint32_t)),
+      BucketMem(MaxBuckets * sizeof(uint32_t)),
+      Nodes(static_cast<Node *>(NodeMem.data())),
+      ExtRefs(static_cast<uint32_t *>(RefMem.data())),
+      Buckets(static_cast<uint32_t *>(BucketMem.data())), NumVars(NumVars),
+      StartCacheBits(CacheBits),
+      CacheWays(1u << wayBitsFor(CacheWays, CacheBits)) {
+  Nodes[0] = Node{TermVar, 0, 0, Invalid};
+  Nodes[1] = Node{TermVar, 1, 1, Invalid};
+  ExtRefs[0] = ExtRefs[1] = 1; // Terminals are permanently referenced.
+  NumNodes = 2;
+  NumBuckets = size_t(1) << 12;
+  std::fill(Buckets, Buckets + NumBuckets, Invalid);
+  // Total slots are 2^CacheBits regardless of associativity, so the
+  // CacheBits knob means the same starting memory at every ways setting.
+  resizeCache(size_t(1) << CacheBits);
+  Stats.CacheResizes = 0; // The initial array is not a resize.
 
   // Whole-process fault drills: every manager born while the variable is
   // set fails its K-th allocation (see setFailAfterAllocations).
@@ -309,6 +317,18 @@ BddManager::BddManager(unsigned NumVars, unsigned CacheBits,
 }
 
 BddManager::~BddManager() = default;
+
+// MAP_NORESERVE: a reservation commits no swap up front; only the pages
+// the manager actually touches are charged.
+BddManager::Mapping::Mapping(size_t Bytes)
+    : Base(mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0)),
+      Bytes(Bytes) {
+  if (Base == MAP_FAILED)
+    throw std::bad_alloc();
+}
+
+BddManager::Mapping::~Mapping() { munmap(Base, Bytes); }
 
 unsigned BddManager::newVar() { return NumVars++; }
 
@@ -401,7 +421,7 @@ uint32_t BddManager::makeNode(uint32_t Var, uint32_t Low, uint32_t High) {
   assert(isTerminal(Low) || varOf(Low) > Var);
   assert(isTerminal(High) || varOf(High) > Var);
 
-  size_t Bucket = hashTriple(Var, Low, High) & (Buckets.size() - 1);
+  size_t Bucket = hashTriple(Var, Low, High) & (NumBuckets - 1);
   for (uint32_t N = Buckets[Bucket]; N != Invalid; N = Nodes[N].Next)
     if (Nodes[N].Var == Var && Nodes[N].Low == Low && Nodes[N].High == High)
       return N;
@@ -411,9 +431,9 @@ uint32_t BddManager::makeNode(uint32_t Var, uint32_t Low, uint32_t High) {
   Buckets[Bucket] = N;
   ++Stats.NodesCreated;
 
-  size_t Live = Nodes.size() - 2 - NumFree;
+  size_t Live = liveNodeCount();
   Stats.PeakNodes = std::max(Stats.PeakNodes, Live);
-  if (Live > (Buckets.size() * 3) / 4)
+  if (Live > (NumBuckets * 3) / 4)
     growUniqueTable();
   return N;
 }
@@ -428,8 +448,7 @@ void BddManager::pollGovernor() {
 uint32_t BddManager::allocNode() {
   // Deterministic OOM drill: fail the K-th allocation exactly, before any
   // structure is touched, as a real allocator would.
-  if (FaultFailAfter != 0 && ++FaultAllocs >= FaultFailAfter)
-    throw std::bad_alloc();
+  faultPoint();
   if (FreeList != Invalid) {
     uint32_t N = FreeList;
     FreeList = Nodes[N].Low;
@@ -437,21 +456,29 @@ uint32_t BddManager::allocNode() {
     ExtRefs[N] = 0;
     return N;
   }
-  Nodes.push_back(Node{});
-  ExtRefs.push_back(0);
-  // Nodes past the packed cache index range are legal — the computed
-  // cache just refuses to store results that mention them.
-  return uint32_t(Nodes.size() - 1);
+  // The reservation is the packed cache index range; a table that has
+  // filled it is out of memory. Fresh slots are zero pages, so the new
+  // node's refcount already reads 0.
+  if (NumNodes == MaxNodes)
+    throw std::bad_alloc();
+  return uint32_t(NumNodes++);
 }
 
 void BddManager::growUniqueTable() {
-  size_t NewSize = Buckets.size() * 2;
-  Buckets.assign(NewSize, Invalid);
-  for (uint32_t N = 2; N < Nodes.size(); ++N) {
+  // The chains are rebuilt from the node table, so the table doubles in
+  // place inside its reservation: no second bucket array, no copy.
+  if (NumBuckets < MaxBuckets)
+    rehashUniqueTable(NumBuckets * 2);
+}
+
+void BddManager::rehashUniqueTable(size_t NewBuckets) {
+  NumBuckets = NewBuckets;
+  std::fill(Buckets, Buckets + NumBuckets, Invalid);
+  for (uint32_t N = 2; N < NumNodes; ++N) {
     if (Nodes[N].Var == TermVar) // Free node.
       continue;
-    size_t Bucket =
-        hashTriple(Nodes[N].Var, Nodes[N].Low, Nodes[N].High) & (NewSize - 1);
+    size_t Bucket = hashTriple(Nodes[N].Var, Nodes[N].Low, Nodes[N].High) &
+                    (NumBuckets - 1);
     Nodes[N].Next = Buckets[Bucket];
     Buckets[Bucket] = N;
   }
@@ -464,13 +491,13 @@ void BddManager::deref(uint32_t N) {
   --ExtRefs[N];
 }
 
-size_t BddManager::liveNodeCount() const { return Nodes.size() - 2 - NumFree; }
+size_t BddManager::liveNodeCount() const { return NumNodes - 2 - NumFree; }
 
 std::vector<uint8_t> BddManager::markReachable() const {
-  std::vector<uint8_t> Marked(Nodes.size(), 0);
+  std::vector<uint8_t> Marked(NumNodes, 0);
   Marked[0] = Marked[1] = 1;
   std::vector<uint32_t> Stack;
-  for (uint32_t N = 2; N < Nodes.size(); ++N)
+  for (uint32_t N = 2; N < NumNodes; ++N)
     if (ExtRefs[N] > 0 && Nodes[N].Var != TermVar)
       Stack.push_back(N);
   while (!Stack.empty()) {
@@ -488,7 +515,7 @@ std::vector<uint8_t> BddManager::markReachable() const {
 size_t BddManager::reachableNodeCount() const {
   std::vector<uint8_t> Marked = markReachable();
   size_t Count = 0;
-  for (uint32_t N = 2; N < Nodes.size(); ++N)
+  for (uint32_t N = 2; N < NumNodes; ++N)
     Count += Marked[N];
   return Count;
 }
@@ -502,26 +529,20 @@ void BddManager::gc() {
   ++Stats.GcRuns;
   std::vector<uint8_t> Marked = markReachable();
 
-  std::fill(Buckets.begin(), Buckets.end(), Invalid);
   FreeList = Invalid;
   NumFree = 0;
   size_t Reclaimed = 0;
-  for (uint32_t N = 2; N < Nodes.size(); ++N) {
-    if (!Marked[N]) {
-      if (Nodes[N].Var != TermVar)
-        ++Reclaimed;
-      Nodes[N].Var = TermVar;
-      Nodes[N].Low = FreeList;
-      FreeList = N;
-      ++NumFree;
+  for (uint32_t N = 2; N < NumNodes; ++N) {
+    if (Marked[N])
       continue;
-    }
-    size_t Bucket =
-        hashTriple(Nodes[N].Var, Nodes[N].Low, Nodes[N].High) &
-        (Buckets.size() - 1);
-    Nodes[N].Next = Buckets[Bucket];
-    Buckets[Bucket] = N;
+    if (Nodes[N].Var != TermVar)
+      ++Reclaimed;
+    Nodes[N].Var = TermVar;
+    Nodes[N].Low = FreeList;
+    FreeList = N;
+    ++NumFree;
   }
+  rehashUniqueTable(NumBuckets);
   Stats.GcReclaimed += Reclaimed;
   Stats.LiveNodes = liveNodeCount();
   clearCache();
@@ -544,8 +565,7 @@ bool BddManager::cacheLookup(Op O, uint32_t F, uint32_t G, uint32_t H,
   if (((F | G | H) & ~IdxMask) != 0)
     return false;
   ++Stats.OpLookups[uint32_t(O)];
-  uint64_t Bucket = (hashTriple(F, G, H) ^ (uint64_t(O) * 0x9e3779b9u)) &
-                    CacheBucketMask;
+  uint64_t Bucket = cacheHash(O, F, G, H) & CacheBucketMask;
   CacheEntry *Ways = CacheBase + Bucket * CacheWays;
   // The expected packed words fold op and generation into the operand
   // compares, so a probe is the same three compares per way the unpacked
@@ -577,8 +597,7 @@ void BddManager::cacheInsert(Op O, uint32_t F, uint32_t G, uint32_t H,
                              uint32_t R) {
   if (((F | G | H) & ~IdxMask) != 0)
     return; // Beyond the packed index range: uncacheable (see lookup).
-  uint64_t Bucket = (hashTriple(F, G, H) ^ (uint64_t(O) * 0x9e3779b9u)) &
-                    CacheBucketMask;
+  uint64_t Bucket = cacheHash(O, F, G, H) & CacheBucketMask;
   CacheEntry *Ways = CacheBase + Bucket * CacheWays;
   // New entries start in the back (probation) way — the least recently
   // useful slot under transposition promotion — except that ways cleared
@@ -596,6 +615,116 @@ void BddManager::cacheInsert(Op O, uint32_t F, uint32_t G, uint32_t H,
   }
   Ways[Slot] = CacheEntry{F | (uint32_t(O) << IdxBits), G | GenW1,
                           H | GenW2, R};
+  // The growth rule is checked every CacheCheckPeriod inserts, or every
+  // four fills of a cache smaller than that, so tiny caches react too.
+  if ((++CacheInserts & (std::min<uint64_t>(CacheCheckPeriod,
+                                             4 * CacheSlots) -
+                         1)) == 0)
+    maybeGrowCache();
+}
+
+/// Growth ceiling of a cache that started at 2^StartBits slots.
+static size_t maxCacheSlots(unsigned StartBits, unsigned MaxBits) {
+  return size_t(1) << std::max(StartBits, MaxBits);
+}
+
+void BddManager::maybeGrowCache() {
+  // Grow only a cache the work keeps overwriting (four fills since the
+  // last resize) and that is small against the node table: with fewer
+  // live nodes than slots, the operand space is small enough that more
+  // slots buy few hits — the garbage-heavy managers of wide solves stay
+  // small this way. A released cache returns to its starting size on
+  // overwrite pressure alone.
+  const size_t StartSlots = size_t(1) << StartCacheBits;
+  if (CacheInserts < 4 * CacheSlots ||
+      CacheSlots >= maxCacheSlots(StartCacheBits, CacheMaxBits))
+    return;
+  if (CacheSlots < StartSlots)
+    resizeCache(StartSlots);
+  else if (liveNodeCount() > CacheSlots)
+    resizeCache(CacheSlots * 2);
+}
+
+void BddManager::placeEntries(const CacheEntry *From, size_t Count,
+                              CacheEntry *To, uint64_t Mask) {
+  // Growth only adds index bits, so each destination bucket draws from
+  // exactly one source bucket and can take all of its entries; walking
+  // the source ways front to back keeps their promotion order. Entries
+  // of an older generation are dropped.
+  const uint32_t GenW1 = (CacheGeneration & 31u) << IdxBits;
+  const uint32_t GenW2 = (CacheGeneration >> 5) << IdxBits;
+  for (size_t I = 0; I < Count; ++I) {
+    const CacheEntry &E = From[I];
+    if ((E.W1 & ~IdxMask) != GenW1 || (E.W2 & ~IdxMask) != GenW2)
+      continue;
+    uint64_t Bucket = cacheHash(Op(E.W0 >> IdxBits), E.W0 & IdxMask,
+                                E.W1 & IdxMask, E.W2 & IdxMask) &
+                      Mask;
+    CacheEntry *Ways = To + Bucket * CacheWays;
+    unsigned W = 0;
+    while (Ways[W].W1 != 0 || Ways[W].W2 != 0) // Zero: still empty.
+      ++W;
+    assert(W < CacheWays && "a new bucket drew from two old buckets");
+    Ways[W] = E;
+  }
+}
+
+void BddManager::resizeCache(size_t NewSlots) {
+  faultPoint();
+  const uint64_t NewMask = NewSlots / CacheWays - 1;
+  if (CacheMap && NewSlots > CacheSlots) {
+    // A cache already in its reservation grows in place: each bucket's
+    // entries go to its own index under the wider mask, which is the
+    // bucket itself or one in the never-touched (zero) upper part, so
+    // the old and the new array are never both resident.
+    std::vector<CacheEntry> Bucket(CacheWays);
+    for (uint64_t B = 0; B <= CacheBucketMask; ++B) {
+      CacheEntry *Ways = CacheBase + B * CacheWays;
+      std::copy(Ways, Ways + CacheWays, Bucket.begin());
+      std::fill(Ways, Ways + CacheWays, CacheEntry{});
+      placeEntries(Bucket.data(), CacheWays, CacheBase, NewMask);
+    }
+  } else {
+    std::vector<CacheEntry> NewHeap;
+    std::unique_ptr<Mapping> NewMap;
+    CacheEntry *NewBase;
+    if (NewSlots <= (size_t(1) << StartCacheBits)) {
+      NewHeap.resize(NewSlots + 64 / sizeof(CacheEntry) - 1);
+      uintptr_t Addr = reinterpret_cast<uintptr_t>(NewHeap.data());
+      NewBase =
+          NewHeap.data() + ((64 - (Addr & 63)) & 63) / sizeof(CacheEntry);
+    } else {
+      // Reserve the whole growth range now; later doublings stay inside.
+      NewMap = std::make_unique<Mapping>(
+          maxCacheSlots(StartCacheBits, CacheMaxBits) * sizeof(CacheEntry));
+      NewBase = static_cast<CacheEntry *>(NewMap->data());
+    }
+    // Growth carries the current entries over; a shrink is a release,
+    // which follows an invalidation, so there is nothing to carry.
+    if (NewSlots > CacheSlots)
+      placeEntries(CacheBase, CacheSlots, NewBase, NewMask);
+    // The old array, wherever it lived, is freed on return.
+    CacheHeap.swap(NewHeap);
+    CacheMap.swap(NewMap);
+    CacheBase = NewBase;
+  }
+  CacheSlots = NewSlots;
+  CacheBucketMask = NewMask;
+  CacheInserts = 0;
+  ++Stats.CacheResizes;
+  Stats.CacheSlots = CacheSlots;
+}
+
+void BddManager::clearComputedCache() {
+  clearCache();
+  const size_t Floor = size_t(1) << std::min(StartCacheBits, CacheFloorBits);
+  if (CacheSlots <= Floor)
+    return;
+  try {
+    resizeCache(Floor);
+  } catch (const std::bad_alloc &) {
+    // Out of memory for even the floor: keep the (invalidated) cache.
+  }
 }
 
 void BddManager::clearCache() {
@@ -605,7 +734,7 @@ void BddManager::clearCache() {
   // a recycled generation number must never revive pre-clear entries.
   CacheGeneration = (CacheGeneration + 1) % GenPeriod;
   if (CacheGeneration == 0) {
-    std::fill(Cache.begin(), Cache.end(), CacheEntry{});
+    std::fill(CacheBase, CacheBase + CacheSlots, CacheEntry{});
     CacheGeneration = 1;
   }
 }

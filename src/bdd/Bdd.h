@@ -22,6 +22,15 @@
 /// handle plus a mark-and-sweep collector that runs only at operation entry
 /// (never mid-recursion), so internal intermediate results are always safe.
 ///
+/// Storage is fitted to the solve rather than configured for it. The node
+/// table, its reference counts and the unique table live in anonymous
+/// mappings that reserve address space for the whole 2^27-node index range
+/// up front; the kernel faults pages in as the tables grow, so growth never
+/// copies and never holds an old and a new table at once. The computed
+/// cache starts at the configured size and doubles itself while the work
+/// overwrites it several times over (after CUDD's cache-resize policy,
+/// Somenzi, "CUDD: CU Decision Diagram Package").
+///
 /// Variable index == variable order level; the symbolic layer computes a
 /// good static order up front (as Getafix does) instead of reordering
 /// dynamically.
@@ -35,6 +44,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -187,14 +198,19 @@ struct BddStats {
   uint64_t NodesCreated = 0;
   uint64_t GcRuns = 0;
   uint64_t GcReclaimed = 0;
+  /// Computed-cache resizes: growth under overwrite pressure and releases
+  /// by `clearComputedCache`.
+  uint64_t CacheResizes = 0;
   size_t LiveNodes = 0;
   size_t PeakNodes = 0;
+  size_t CacheSlots = 0; ///< Gauge: computed-cache slots allocated now.
 
   /// Accumulates \p Other into *this: counters are summed, and the gauges
-  /// (LiveNodes, PeakNodes) are summed too — merging per-worker managers
-  /// reports the *total* footprint across managers, which is the number a
-  /// memory budget cares about (the per-manager peaks need not have
-  /// coincided, so the sum is an upper bound on the simultaneous peak).
+  /// (LiveNodes, PeakNodes, CacheSlots) are summed too — merging per-worker
+  /// managers reports the *total* footprint across managers, which is the
+  /// number a memory budget cares about (the per-manager peaks need not
+  /// have coincided, so the sum is an upper bound on the simultaneous
+  /// peak).
   void merge(const BddStats &Other) {
     CacheLookups += Other.CacheLookups;
     CacheHits += Other.CacheHits;
@@ -205,12 +221,19 @@ struct BddStats {
     NodesCreated += Other.NodesCreated;
     GcRuns += Other.GcRuns;
     GcReclaimed += Other.GcReclaimed;
+    CacheResizes += Other.CacheResizes;
     LiveNodes += Other.LiveNodes;
     PeakNodes += Other.PeakNodes;
+    CacheSlots += Other.CacheSlots;
   }
 
+  /// Allocations: nodes created plus cache resizes. A manager's memory
+  /// can only have grown when this moved.
+  uint64_t allocations() const { return NodesCreated + CacheResizes; }
+
   /// The counter delta `*this - Before` for the monotonically increasing
-  /// counters; gauges (LiveNodes, PeakNodes) keep this snapshot's values.
+  /// counters; gauges (LiveNodes, PeakNodes, CacheSlots) keep this
+  /// snapshot's values.
   /// Query sessions report per-query work on a shared manager this way.
   BddStats since(const BddStats &Before) const {
     BddStats D = *this;
@@ -223,6 +246,7 @@ struct BddStats {
     D.NodesCreated -= Before.NodesCreated;
     D.GcRuns -= Before.GcRuns;
     D.GcReclaimed -= Before.GcReclaimed;
+    D.CacheResizes -= Before.CacheResizes;
     return D;
   }
 };
@@ -230,8 +254,10 @@ struct BddStats {
 /// Owns the shared node table, the unique table, and the computed cache.
 class BddManager {
 public:
-  /// \p CacheBits selects a computed cache of 2^CacheBits entries total,
-  /// organized as a set-associative cache of \p CacheWays ways per bucket
+  /// \p CacheBits selects the computed cache's *starting* size, 2^CacheBits
+  /// entries total; the cache grows from there with the work (see
+  /// `cacheSlots()`). It is organized as a set-associative cache of
+  /// \p CacheWays ways per bucket
   /// (power of two; 1 = direct-mapped, 4 = the default). Buckets age by
   /// transposition promotion: new entries enter the back (probation) way,
   /// a hit moves its entry one way toward the front, and insertion
@@ -280,9 +306,20 @@ public:
   /// solve are sized from the main manager's knobs via this getter.
   size_t gcThreshold() const { return GcThreshold; }
 
-  /// Number of computed-cache slots (2^CacheBits). Callers that adapt
-  /// their algorithms to cache pressure compare working-set sizes to this.
+  /// Number of computed-cache slots allocated right now. The cache starts
+  /// at 2^CacheBits and doubles at a check (every 2^16 inserts, sooner for
+  /// tiny caches) when it has been overwritten four times over since the
+  /// last resize and the node table holds more nodes than it has slots,
+  /// up to 2^22 slots (or the starting size, if that is larger);
+  /// `clearComputedCache` releases it to a small floor, and a released
+  /// cache returns to its starting size at the first check under load.
+  /// Callers that adapt their algorithms to cache pressure read this once
+  /// per solve; it is not stable across operations, so a thread that
+  /// does not own the manager must not read it (use `startCacheBits()`).
   size_t cacheSlots() const { return CacheSlots; }
+  /// The configured starting size: the cache began at 2^startCacheBits()
+  /// slots. Fixed for the manager's lifetime, so any thread may read it.
+  unsigned startCacheBits() const { return StartCacheBits; }
   /// Associativity of the computed cache (ways per bucket).
   unsigned cacheWays() const { return CacheWays; }
 
@@ -302,10 +339,13 @@ public:
   }
   support::ResourceGovernor *governor() const { return Gov; }
 
-  /// Deterministic fault injection: the \p K-th `allocNode` from now (and
+  /// Deterministic fault injection: the \p K-th allocation from now (and
   /// every allocation after it) throws `std::bad_alloc`, emulating memory
-  /// exhaustion at an exact, reproducible point. 0 disarms. Also armed at
-  /// construction from the environment variable
+  /// exhaustion at an exact, reproducible point. Node slots and computed-
+  /// cache arrays count alike, so a drill can land inside a cache resize;
+  /// a failed growth propagates (the manager keeps its old cache), while
+  /// a failed release inside `clearComputedCache` is absorbed. 0 disarms.
+  /// Also armed at construction from the environment variable
   /// `GETAFIX_FAULT_ALLOC_AFTER=K` so whole-process fault drills (the CI
   /// daemon smoke) need no code changes.
   void setFailAfterAllocations(uint64_t K) {
@@ -313,12 +353,15 @@ public:
     FaultAllocs = 0;
   }
 
-  /// Invalidates every computed-cache entry by bumping the cache
-  /// generation (an O(1) operation — entries stamped with an older
-  /// generation read as empty). Results computed before and after the
-  /// bump are identical; this only exists so tests and callers can shed
-  /// a cold working set without paying a memset.
-  void clearComputedCache() { clearCache(); }
+  /// Invalidates every computed-cache entry and releases the cache's
+  /// storage down to a small floor (2^10 slots, or the starting size if
+  /// that is smaller), so a memory budget that clears a session's cache
+  /// gets the memory back. The floor array is allocated before the old
+  /// one is freed; if that allocation fails the cache keeps its size
+  /// and is only invalidated (a generation bump), so this never throws.
+  /// Results computed before and after are identical; a later workload
+  /// regrows the cache under the usual policy.
+  void clearComputedCache();
 
   /// Counter snapshot. The hot path maintains only the per-op cache
   /// counters; the aggregate CacheLookups/CacheHits are summed here.
@@ -342,25 +385,22 @@ public:
   /// call it at query boundaries, not per operation.
   size_t reachableNodeCount() const;
 
-  /// Estimated heap bytes of this manager's live working set: live nodes
-  /// times their storage share (node record + external refcount + unique
-  /// table bucket) plus the computed cache. With \p CountCache false the
-  /// cache is discounted — callers that just issued `clearComputedCache`
-  /// hold an allocated-but-dead cache whose contents no longer back any
-  /// working set (the long-lived-session memory budget counts it that
-  /// way). An estimate, not RSS: free-listed node slots and the interned
-  /// cube/permutation tables are deliberately ignored.
-  size_t memoryEstimate(bool CountCache = true) const {
-    return liveNodeCount() * (sizeof(Node) + 2 * sizeof(uint32_t)) +
-           (CountCache ? Cache.size() * sizeof(CacheEntry) : 0);
+  /// Estimated bytes of this manager's live working set: live nodes times
+  /// their storage share (node record + external refcount + unique table
+  /// bucket) plus the computed cache exactly as allocated now — a cache
+  /// released by `clearComputedCache` counts at its floor, a grown one at
+  /// its full size. An estimate, not RSS: free-listed node slots and the
+  /// interned cube/permutation tables are deliberately ignored.
+  size_t memoryEstimate() const {
+    return liveNodeCount() * BytesPerNode + CacheSlots * sizeof(CacheEntry);
   }
 
   /// `memoryEstimate` computed over `reachableNodeCount()` instead of
   /// `liveNodeCount()`: uncollected garbage is excluded, so this is the
   /// number a session memory budget should charge.
-  size_t reachableMemoryEstimate(bool CountCache = true) const {
-    return reachableNodeCount() * (sizeof(Node) + 2 * sizeof(uint32_t)) +
-           (CountCache ? Cache.size() * sizeof(CacheEntry) : 0);
+  size_t reachableMemoryEstimate() const {
+    return reachableNodeCount() * BytesPerNode +
+           CacheSlots * sizeof(CacheEntry);
   }
 
 private:
@@ -371,6 +411,23 @@ private:
     uint32_t Low;
     uint32_t High;
     uint32_t Next; ///< Unique-table chain.
+  };
+
+  /// An anonymous private memory mapping, unmapped on destruction. Pages
+  /// are zero until written and cost nothing until touched, so a mapping
+  /// can reserve far more address space than it will use.
+  class Mapping {
+  public:
+    /// Maps \p Bytes; throws `std::bad_alloc` when the kernel refuses.
+    explicit Mapping(size_t Bytes);
+    Mapping(const Mapping &) = delete;
+    Mapping &operator=(const Mapping &) = delete;
+    ~Mapping();
+    void *data() const { return Base; }
+
+  private:
+    void *Base;
+    size_t Bytes;
   };
 
   using Op = BddOp;
@@ -397,6 +454,22 @@ private:
   static constexpr uint32_t IdxMask = (1u << IdxBits) - 1;
   static constexpr uint32_t GenPeriod = 1u << 10; ///< 5+5 stolen bits.
 
+  /// Node slots the node table reserves: the packed cache index range.
+  static constexpr size_t MaxNodes = size_t(1) << IdxBits;
+  /// Unique-table buckets reserved: the table doubles past 3/4 load, so
+  /// MaxNodes live nodes need at most twice as many buckets.
+  static constexpr size_t MaxBuckets = MaxNodes * 2;
+  /// Storage share of one node: record, external refcount, and a bucket.
+  static constexpr size_t BytesPerNode =
+      sizeof(Node) + 2 * sizeof(uint32_t);
+
+  /// Growth ceiling (unless the starting size is larger) and release floor
+  /// of the computed cache, in slots; and the insert period at which the
+  /// growth rule is checked.
+  static constexpr unsigned CacheMaxBits = 22;
+  static constexpr unsigned CacheFloorBits = 10;
+  static constexpr uint64_t CacheCheckPeriod = uint64_t(1) << 16;
+
   struct CubeSet {
     std::vector<unsigned> Vars;   ///< Sorted.
     std::vector<uint8_t> InCube;  ///< Indexed by variable.
@@ -419,16 +492,39 @@ private:
 
   uint32_t makeNode(uint32_t Var, uint32_t Low, uint32_t High);
   uint32_t allocNode();
+  /// Counts one allocation against an armed fault drill and throws
+  /// `std::bad_alloc` when the drill's count is reached.
+  void faultPoint() {
+    if (FaultFailAfter != 0 && ++FaultAllocs >= FaultFailAfter)
+      throw std::bad_alloc();
+  }
   /// Re-arms the probe countdown and forwards the elapsed batch to the
   /// governor (which throws `ResourceInterrupt` on a tripped limit).
   void pollGovernor();
   void growUniqueTable();
+  /// Rebuilds the unique-table chains of every used node slot over the
+  /// first \p NewBuckets buckets (a power of two).
+  void rehashUniqueTable(size_t NewBuckets);
   static uint64_t hashTriple(uint32_t A, uint32_t B, uint32_t C);
 
   // Computed cache --------------------------------------------------------
   bool cacheLookup(Op O, uint32_t F, uint32_t G, uint32_t H, uint32_t &Out);
   void cacheInsert(Op O, uint32_t F, uint32_t G, uint32_t H, uint32_t R);
   void clearCache();
+  /// Applies the growth rule at a check point (see `cacheSlots()`).
+  void maybeGrowCache();
+  /// Resizes the cache to \p NewSlots slots; growth carries the current
+  /// generation's entries over. Any new array is allocated before the old
+  /// one is freed: on `bad_alloc` the manager keeps its old cache
+  /// untouched.
+  void resizeCache(size_t NewSlots);
+  /// Inserts the current-generation entries among \p Count entries at
+  /// \p From into the cache array at \p To, bucketed under \p Mask.
+  void placeEntries(const CacheEntry *From, size_t Count, CacheEntry *To,
+                    uint64_t Mask);
+  static uint64_t cacheHash(Op O, uint32_t F, uint32_t G, uint32_t H) {
+    return hashTriple(F, G, H) ^ (uint64_t(O) * 0x9e3779b9u);
+  }
 
   // Recursive cores (raw indices; never trigger gc) ------------------------
   uint32_t applyRec(Op O, uint32_t F, uint32_t G);
@@ -450,23 +546,42 @@ private:
   void deref(uint32_t N);
 
   // Data ------------------------------------------------------------------
-  std::vector<Node> Nodes;
-  std::vector<uint32_t> ExtRefs; ///< Parallel to Nodes.
-  std::vector<uint32_t> Buckets; ///< Unique table; power-of-two size.
-  uint32_t FreeList = Invalid;   ///< Chained through Node::Low.
+  /// Reservations for the node table, its refcounts and the unique table
+  /// (see the file comment); the pointers below index into them.
+  Mapping NodeMem, RefMem, BucketMem;
+  Node *Nodes = nullptr;
+  uint32_t *ExtRefs = nullptr; ///< Parallel to Nodes.
+  uint32_t *Buckets = nullptr; ///< Unique table; power-of-two size.
+  size_t NumNodes = 0;         ///< Node slots in use (free-listed included).
+  size_t NumBuckets = 0;
+  uint32_t FreeList = Invalid; ///< Chained through Node::Low.
   size_t NumFree = 0;
   unsigned NumVars = 0;
 
-  /// Backing storage, over-allocated by up to one bucket so `CacheBase`
-  /// can sit on a 64-byte boundary — `operator new` only guarantees
-  /// 16-byte alignment, and a misaligned 4-way bucket straddles two cache
-  /// lines, which measurably slows the (memory-bound) probe path.
-  std::vector<CacheEntry> Cache;
-  CacheEntry *CacheBase = nullptr;     ///< 64-byte-aligned first bucket.
-  size_t CacheSlots = 0;               ///< 2^CacheBits usable entries.
+  /// The cache array lives in one of two places. Up to the starting size
+  /// it is heap memory: the allocator hands a short-lived manager's array
+  /// to the next manager already faulted in, where a fresh mapping pays a
+  /// page fault per 4 KB (about 2 us on a 4-CPU VM: 2 ms per manager for
+  /// a default cache). The heap array is over-allocated by up to one
+  /// bucket so `CacheBase` can sit on a 64-byte boundary — `operator new`
+  /// only guarantees 16 bytes, and a misaligned 4-way bucket straddles
+  /// two cache lines, which measurably slows the (memory-bound) probe
+  /// path. A grown cache moves into a mapping that reserves its whole
+  /// growth range (page-aligned) and doubles in place there, so a growth
+  /// step never holds two arrays (one step from 2^21 to 2^22 slots used
+  /// to add a 32 MB transient at a heavy solve's peak); unmapping it on
+  /// release returns it to the system at once, where the heap would keep
+  /// it resident. Either way, zeroed entries read as empty (no
+  /// generation is ever 0).
+  std::vector<CacheEntry> CacheHeap;
+  std::unique_ptr<Mapping> CacheMap;
+  CacheEntry *CacheBase = nullptr; ///< 64-byte-aligned first bucket.
+  size_t CacheSlots = 0;        ///< Usable entries: a power of two.
   uint64_t CacheBucketMask = 0; ///< Bucket index mask (buckets × ways = size).
-  unsigned CacheWays = 4;
+  const unsigned StartCacheBits;
+  const unsigned CacheWays;
   uint32_t CacheGeneration = 1; ///< Entries with an older gen are empty.
+  uint64_t CacheInserts = 0;    ///< Since the last resize.
 
   std::vector<CubeSet> Cubes;
   std::vector<PermSet> Perms;

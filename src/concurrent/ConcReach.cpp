@@ -569,11 +569,6 @@ struct ConcSession::Impl {
   Evaluator Ev;
   IncrementalFixpoint Fix;
 
-  /// True between a `clearComputedCache` and the next query: the cache
-  /// is allocated but holds no live working set, so the footprint
-  /// estimate discounts it.
-  bool CacheCold = false;
-
   /// High-water mark of retained (reachable) nodes, sampled at the end
   /// of every query; `peakLiveNodes()` reports it (see SeqSession).
   size_t PeakLive = 0;
@@ -613,7 +608,6 @@ void ConcSession::setGovernor(support::ResourceGovernor *G) { I->Gov = G; }
 
 void ConcSession::clearComputedCache() {
   I->Mgr.clearComputedCache();
-  I->CacheCold = true;
 }
 
 size_t ConcSession::liveNodes() const {
@@ -627,9 +621,15 @@ size_t ConcSession::peakLiveNodes() const {
   return std::max(I->PeakLive, liveNodes());
 }
 
+uint64_t ConcSession::allocations() const {
+  BddStats S = I->Mgr.stats();
+  S.merge(I->Ev.workerBddStats());
+  return S.allocations();
+}
+
 size_t ConcSession::memoryFootprint() const {
   constexpr size_t BytesPerWorkerNode = 24; // node + refcount + bucket.
-  return I->Mgr.reachableMemoryEstimate(/*CountCache=*/!I->CacheCold) +
+  return I->Mgr.reachableMemoryEstimate() +
          I->Ev.workerBddStats().LiveNodes * BytesPerWorkerNode;
 }
 
@@ -643,7 +643,6 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
 
   ConcResult Result;
   Timer Tm;
-  S.CacheCold = false; // Encoding/solving repopulates the computed cache.
   BddStats Before = S.Mgr.stats();
   BddStats WorkerBefore = S.Ev.workerBddStats();
   fpc::ParallelStats ParBefore = S.Ev.parallelStats();
@@ -697,7 +696,9 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   Result.BddCacheLookups = Result.Bdd.CacheLookups;
   Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.Seconds = Tm.seconds();
-  S.PeakLive = std::max(S.PeakLive, liveNodes());
+  // Sampled only after queries that allocated (see SeqSession::solve).
+  if (Result.Bdd.NodesCreated != 0)
+    S.PeakLive = std::max(S.PeakLive, liveNodes());
   return Result;
 }
 
@@ -706,7 +707,6 @@ bool ConcSession::answersFromState(unsigned Thread, unsigned ProcId,
   Impl &S = *I;
   if (!S.Opts.ReuseSolvedState)
     return false;
-  S.CacheCold = false; // Probing encodes the target over the manager.
   Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
   return S.Fix.answersFromState(TargetStates, S.Opts.EarlyStop,
                                 S.Opts.MaxIterations);

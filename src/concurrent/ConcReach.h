@@ -199,12 +199,14 @@ public:
   /// Session memory introspection (see `reach::SeqSession` for the exact
   /// semantics): reachable-only live/peak BDD node counts across the
   /// session's managers (uncollected garbage excluded; peak sampled at
-  /// query boundaries) and a bytes estimate of resident state, with a
-  /// cleared and since-untouched computed cache discounted. Feeds the
-  /// query server's session-pool memory budget.
+  /// query boundaries) and a bytes estimate of resident state, counting
+  /// the computed cache as allocated. Feeds the query server's
+  /// session-pool memory budget.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;
+  /// Allocations across the session's managers (`BddStats::allocations`).
+  uint64_t allocations() const;
 
   const ConcOptions &options() const;
 

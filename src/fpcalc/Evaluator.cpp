@@ -33,9 +33,8 @@ struct WorkerContext {
   BddImporter Out; ///< Worker -> main.
 
   WorkerContext(const System &Sys, BddManager &Main, const Layout &L,
-                EvalStrategy Strategy, CofactorMode Cofactor,
-                unsigned CacheBits)
-      : Mgr(Main.numVars(), CacheBits, Main.cacheWays()),
+                EvalStrategy Strategy, CofactorMode Cofactor)
+      : Mgr(Main.numVars(), Main.startCacheBits(), Main.cacheWays()),
         Ev(Sys, Mgr, L, Strategy, Cofactor), In(Main, Mgr), Out(Mgr, Main) {
     Mgr.setGcThreshold(Main.gcThreshold());
   }
@@ -152,15 +151,13 @@ void Evaluator::ensureParallelContext() {
 WorkerContext &Evaluator::workerContext(unsigned Worker) {
   std::unique_ptr<WorkerContext> &Slot = Par->Workers[Worker];
   if (!Slot) {
-    // Clone the main manager's cache geometry so the frontier-width
-    // policy (keyed on cacheSlots) behaves the same way per worker. The
-    // main-manager reads here (numVars, cache geometry, gc threshold)
-    // are all fields no concurrent import/export mutates.
-    unsigned CacheBits = 0;
-    while ((size_t(1) << CacheBits) < Mgr.cacheSlots())
-      ++CacheBits;
-    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy, Cofactor,
-                                           CacheBits);
+    // Start the worker's cache where the main manager's started, so the
+    // frontier-width policy (keyed on cacheSlots) behaves the same way
+    // per worker; each cache then grows with its own work. The main-
+    // manager reads here (numVars, starting cache geometry, gc
+    // threshold) are all fields no concurrent import/export mutates —
+    // unlike cacheSlots(), which a main-manager operation may grow.
+    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy, Cofactor);
   }
   return *Slot;
 }

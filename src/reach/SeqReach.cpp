@@ -722,11 +722,6 @@ struct SeqSession::Impl {
   /// created on the first witness query.
   std::unique_ptr<WitnessSession> Witness;
 
-  /// True between a `clearComputedCache` and the next query: the main
-  /// manager's cache is allocated but holds no live working set, so the
-  /// footprint estimate discounts it.
-  bool CacheCold = false;
-
   /// High-water mark of retained (reachable) nodes, sampled at the end
   /// of every query; `peakLiveNodes()` reports it. Allocation high-water
   /// (`BddStats::PeakNodes`) would also count uncollected garbage, which
@@ -774,7 +769,6 @@ void SeqSession::setGovernor(support::ResourceGovernor *G) {
 
 void SeqSession::clearComputedCache() {
   I->Mgr.clearComputedCache();
-  I->CacheCold = true;
   // The witness sub-session runs its own manager (the ring-recording
   // entry-forward solve); the memory valve must reach it too.
   if (I->Witness)
@@ -798,9 +792,15 @@ size_t SeqSession::peakLiveNodes() const {
   return std::max(I->PeakLive, liveNodes());
 }
 
+uint64_t SeqSession::allocations() const {
+  BddStats S = I->Mgr.stats();
+  S.merge(I->Ev.workerBddStats());
+  return S.allocations() + (I->Witness ? I->Witness->allocations() : 0);
+}
+
 size_t SeqSession::memoryFootprint() const {
   constexpr size_t BytesPerWorkerNode = 24; // node + refcount + bucket.
-  return I->Mgr.reachableMemoryEstimate(/*CountCache=*/!I->CacheCold) +
+  return I->Mgr.reachableMemoryEstimate() +
          I->Ev.workerBddStats().LiveNodes * BytesPerWorkerNode +
          (I->Witness ? I->Witness->memoryFootprint() : 0);
 }
@@ -816,7 +816,6 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
 
   SeqResult Result;
   Timer T;
-  S.CacheCold = false; // Encoding/solving repopulates the computed cache.
   BddStats Before = S.Mgr.stats();
   BddStats WorkerBefore = S.Ev.workerBddStats();
   fpc::ParallelStats ParBefore = S.Ev.parallelStats();
@@ -953,7 +952,12 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Result.BddCacheLookups = Result.Bdd.CacheLookups;
   Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.Seconds = T.seconds();
-  S.PeakLive = std::max(S.PeakLive, liveNodes());
+  // The retained-node peak is sampled only after queries that allocated:
+  // one that created nothing (a warm answer from solved state) can only
+  // re-reference nodes the table already held, so the walk would buy
+  // next to nothing.
+  if (Result.Bdd.NodesCreated != 0)
+    S.PeakLive = std::max(S.PeakLive, liveNodes());
   return Result;
 }
 
@@ -994,8 +998,6 @@ WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
       I->Witness = std::make_unique<WitnessSession>(I->Cfg, I->Opts);
     I->Witness->setGovernor(I->Gov);
   }
-  I->CacheCold = false; // Extraction repopulates the main computed cache
-                        // in shared mode; harmless to assume otherwise.
   WitnessResult R = I->Witness->query(ProcId, Pc);
   I->PeakLive = std::max(I->PeakLive, liveNodes());
   return R;
@@ -1016,7 +1018,6 @@ bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
     return S.SplitSolved;
   if (S.Opts.Alg == SeqAlgorithm::SummarySimple)
     return S.SimpleSolved;
-  S.CacheCold = false; // Probing encodes the target over the manager.
   const sym::ConfVars &Conf = S.Engine.conf();
   Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
                      S.Ev.encodeEqConst(Conf.Pc, Pc);

@@ -232,15 +232,17 @@ public:
   /// retains, not how much the last solve churned. `peakLiveNodes` is the
   /// high-water mark of that retained count, sampled at query boundaries.
   /// `memoryFootprint` is a bytes estimate of the same resident state:
-  /// reachable nodes times their storage share plus the computed caches —
-  /// a cache that was `clearComputedCache`d and not touched since is
-  /// discounted (allocated but dead). Estimates, not RSS; they exist so
-  /// an eviction policy has a monotone-ish signal, not for accounting.
+  /// reachable nodes times their storage share plus the computed caches as
+  /// allocated (a `clearComputedCache` releases a cache to its floor, so
+  /// it counts at the floor). Estimates, not RSS; they exist so an
+  /// eviction policy has a monotone-ish signal, not for accounting.
   /// Each read costs a mark pass over the node table — query-boundary
   /// cheap, not per-operation cheap.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;
+  /// Allocations across the session's managers (`BddStats::allocations`).
+  uint64_t allocations() const;
 
   const SeqOptions &options() const;
 

@@ -76,7 +76,6 @@ public:
     if (Borrowed)
       return; // The owner's valve clears the shared manager.
     Mgr->clearComputedCache();
-    CacheCold = true;
   }
 
   // In borrowed mode the gauges report 0: the owning session already
@@ -91,14 +90,11 @@ public:
     return Borrowed ? 0 : std::max(PeakLive, liveNodes());
   }
   size_t memoryFootprint() const {
-    return Borrowed ? 0
-                    : Mgr->reachableMemoryEstimate(/*CountCache=*/!CacheCold);
+    return Borrowed ? 0 : Mgr->reachableMemoryEstimate();
   }
-
-  /// True between a `clearComputedCache` and the next query: the cache is
-  /// allocated but holds no live working set, so the footprint estimate
-  /// discounts it.
-  bool CacheCold = false;
+  uint64_t allocations() const {
+    return Borrowed ? 0 : Mgr->stats().allocations();
+  }
 
   /// High-water mark of retained (reachable) nodes, sampled at the end
   /// of every owned-mode query; `peakLiveNodes()` reports it.
@@ -489,7 +485,6 @@ WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
     Mgr->setGovernor(Gov);
   try {
     ensureSolved();
-    CacheCold = false; // Extraction repopulates the computed cache.
     Result = Base;
     Steps.clear();
 
@@ -589,6 +584,10 @@ size_t WitnessSession::peakLiveNodes() const {
 
 size_t WitnessSession::memoryFootprint() const {
   return I->Extractor.memoryFootprint();
+}
+
+uint64_t WitnessSession::allocations() const {
+  return I->Extractor.allocations();
 }
 
 WitnessResult

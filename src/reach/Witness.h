@@ -144,12 +144,14 @@ public:
 
   /// Reachable-only live / peak node counts of the extractor's BDD
   /// manager (0 before the lazy solve has run; peak sampled at query
-  /// boundaries), and the estimated bytes of resident state — a
-  /// cleared-and-untouched computed cache is discounted. These feed the
-  /// owning session's `memoryFootprint`.
+  /// boundaries), and the estimated bytes of resident state — the computed
+  /// cache counts as allocated. These feed the owning session's
+  /// `memoryFootprint`.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;
+  /// Allocations in the extractor's own manager (0 in borrowed mode).
+  uint64_t allocations() const;
 
 private:
   struct Impl;

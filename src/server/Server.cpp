@@ -12,6 +12,7 @@
 #include <fcntl.h>
 #include <fstream>
 #include <poll.h>
+#include <set>
 #include <sstream>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -461,11 +462,19 @@ Json Server::handleSolve(const Request &R) {
     ++Stats.SolveRequests;
     Stats.TargetsSolved += Results.size();
     Stats.LimitStops += LimitRows;
-    for (const api::SolveResult &Res : Results)
+    // solveAll copies a repeated target's row; count its work once.
+    std::set<std::string> Seen;
+    for (size_t I = 0; I < Results.size(); ++I) {
+      const api::SolveResult &Res = Results[I];
       if (Res.CondensationWidth != 0) {
         Stats.CondensationWidth = Res.CondensationWidth;
         Stats.SummaryRelations = Res.SummaryRelations;
       }
+      if (Res.Bdd.CacheSlots != 0 && Seen.insert(R.Targets[I]).second) {
+        Stats.CacheSlots = Res.Bdd.CacheSlots;
+        Stats.CacheResizes += Res.Bdd.CacheResizes;
+      }
+    }
   }
 
   return Json::object()
@@ -520,7 +529,10 @@ Json Server::handleStats() {
                .set("condensation_width",
                     Json::number(double(SS.CondensationWidth)))
                .set("summary_relations",
-                    Json::number(double(SS.SummaryRelations))))
+                    Json::number(double(SS.SummaryRelations)))
+               .set("cache_slots", Json::number(double(SS.CacheSlots)))
+               .set("cache_resizes",
+                    Json::number(double(SS.CacheResizes))))
       .set("pool",
            Json::object()
                .set("lookups", Json::number(double(PS.Lookups)))

@@ -96,6 +96,10 @@ struct ServerStats {
   /// single-relation shape.
   unsigned CondensationWidth = 0;
   unsigned SummaryRelations = 0;
+  /// The computed-cache policy at work: slots of the most recent solve's
+  /// managers at its end, and resizes summed over every solve served.
+  size_t CacheSlots = 0;
+  uint64_t CacheResizes = 0;
 };
 
 class Server {

@@ -256,9 +256,9 @@ void SessionPool::enforceBudget() {
       });
 
       // Phase 1 — the coarse valve: clear the computed cache of the
-      // least-recently-used session that still has a warm cache. O(1),
-      // keeps all solved state, and the footprint estimate drops by the
-      // cache's share immediately.
+      // least-recently-used session that still has a warm cache. Keeps
+      // all solved state and releases the cache to its floor, so the
+      // footprint drops by what was actually freed.
       if (OverBudget) {
         for (Entry *C : Lru) {
           if (C->ValveCold || !C->Mu.try_lock())

@@ -15,10 +15,10 @@
 ///
 /// Reclamation is two-phase, coarse valve first:
 ///
-///   1. `clearComputedCache()` on LRU sessions — O(1), keeps all solved
-///      state, and (because a cleared-and-untouched cache is discounted
-///      from the footprint estimate) typically frees several MB per
-///      session on the books.
+///   1. `clearComputedCache()` on LRU sessions — keeps all solved state
+///      and releases the computed cache's storage to a small floor,
+///      typically several MB per session, both in the footprint estimate
+///      and in fact.
 ///   2. Full eviction of LRU sessions — drops the engine state entirely.
 ///      The entry (program text, options, statistics) stays; the next
 ///      acquire transparently reopens and re-solves, bit-identical.

@@ -430,8 +430,10 @@ TEST(BddTest, ConstrainShrinksTransitionAgainstNarrowCareSet) {
 /// managers with different cache geometries. Returns a per-step
 /// fingerprint (sat counts and dag sizes) that must be identical for any
 /// cache size/associativity, and across mid-script cache clears: the
-/// computed cache affects only speed, never results.
-std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear) {
+/// computed cache affects only speed, never results. With \p Outs, every
+/// step's result is kept there too, for node-level comparison.
+std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear,
+                                   std::vector<Bdd> *Outs = nullptr) {
   Rng R(4242);
   std::vector<double> Trace;
   std::vector<Bdd> Pool;
@@ -464,8 +466,28 @@ std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear) {
     }
     Pool[R.below(Pool.size())] = Out;
     Trace.push_back(Out.satCount(6) * 1000.0 + double(Out.nodeCount()));
+    if (Outs)
+      Outs->push_back(Out);
   }
   return Trace;
+}
+
+/// True when every BDD in \p Got (of another manager) is node-for-node the
+/// BDD at the same position in \p Want: imported into Want's manager, it
+/// must land on the very same node (ROBDD canonicity makes that equality
+/// of the whole DAG under the shared variable order).
+::testing::AssertionResult sameNodes(const std::vector<Bdd> &Got,
+                                     const std::vector<Bdd> &Want) {
+  if (Got.size() != Want.size())
+    return ::testing::AssertionFailure()
+           << Got.size() << " results vs " << Want.size();
+  if (Got.empty())
+    return ::testing::AssertionSuccess();
+  BddImporter In(*Got.front().manager(), *Want.front().manager());
+  for (size_t I = 0; I < Got.size(); ++I)
+    if (In.import(Got[I]) != Want[I])
+      return ::testing::AssertionFailure() << "result " << I << " differs";
+  return ::testing::AssertionSuccess();
 }
 
 TEST(BddTest, CacheStressResultsIdenticalAcrossGeometries) {
@@ -487,6 +509,140 @@ TEST(BddTest, CacheStressResultsIdenticalAcrossGeometries) {
         << "cache bits " << G.Bits << " ways " << G.Ways << " midclear "
         << G.MidClear;
   }
+
+  // A cache that grows mid-script (it starts at 2^4 slots, far below the
+  // script's node count) returns node-for-node what fixed 2^10 and 2^22
+  // caches return: this script never makes those two resize.
+  BddManager GrowMgr(6, 4, 4), SmallMgr(6, 10, 4), LargeMgr(6, 22, 4);
+  std::vector<Bdd> Grown, Small, Large;
+  EXPECT_EQ(runCacheScript(GrowMgr, false, &Grown), Expected);
+  EXPECT_EQ(runCacheScript(SmallMgr, false, &Small), Expected);
+  EXPECT_EQ(runCacheScript(LargeMgr, false, &Large), Expected);
+  EXPECT_GT(GrowMgr.stats().CacheResizes, 0u);
+  EXPECT_GT(GrowMgr.cacheSlots(), size_t(1) << 4);
+  EXPECT_EQ(GrowMgr.stats().CacheSlots, GrowMgr.cacheSlots());
+  EXPECT_EQ(SmallMgr.stats().CacheResizes, 0u);
+  EXPECT_EQ(LargeMgr.stats().CacheResizes, 0u);
+  EXPECT_EQ(LargeMgr.cacheSlots(), size_t(1) << 22);
+  EXPECT_TRUE(sameNodes(Grown, Small));
+  EXPECT_TRUE(sameNodes(Grown, Large));
+}
+
+/// A heavier deterministic script over 14 variables: random sums of cubes
+/// combined by conjunction, disjunction, xor and relational product. Its
+/// tens of thousands of distinct subproblems fill small caches many times
+/// over. Appends every step's result to \p Outs.
+void runWideScript(BddManager &Mgr, std::vector<Bdd> &Outs) {
+  Rng R(977);
+  auto randomCube = [&] {
+    Bdd C = Mgr.one();
+    for (unsigned L = 0; L < 5; ++L) {
+      unsigned V = unsigned(R.below(14));
+      C &= R.flip() ? Mgr.var(V) : Mgr.nvar(V);
+    }
+    return C;
+  };
+  std::vector<Bdd> Pool;
+  for (unsigned I = 0; I < 16; ++I) {
+    Bdd F = Mgr.zero();
+    for (unsigned K = 0; K < 6; ++K)
+      F |= randomCube();
+    Pool.push_back(F);
+  }
+  BddCube Cube = Mgr.makeCube({1, 4, 7, 10, 13});
+  for (unsigned Step = 0; Step < 300; ++Step) {
+    const Bdd &A = Pool[R.below(Pool.size())];
+    const Bdd &B = Pool[R.below(Pool.size())];
+    Bdd Out;
+    switch (R.below(4)) {
+    case 0:
+      Out = A & B;
+      break;
+    case 1:
+      Out = A | B;
+      break;
+    case 2:
+      Out = A ^ B;
+      break;
+    default:
+      Out = A.andExists(B, Cube);
+      break;
+    }
+    Pool[R.below(Pool.size())] = Out;
+    Outs.push_back(Out);
+  }
+}
+
+TEST(BddTest, ReleasedCacheRegrowsWithIdenticalResults) {
+  // clearComputedCache releases the cache to its 2^10 floor; the next
+  // workload brings it back to its starting size, and every result
+  // matches a manager whose cache was never released.
+  BddManager Reference(14, 12, 4), Mgr(14, 12, 4);
+  std::vector<Bdd> Want, Before, After;
+  runWideScript(Reference, Want);
+  runWideScript(Mgr, Before);
+  const size_t Slots = Mgr.cacheSlots();
+  ASSERT_GE(Slots, size_t(1) << 12);
+  Mgr.clearComputedCache();
+  EXPECT_EQ(Mgr.cacheSlots(), size_t(1) << 10);
+  EXPECT_EQ(Mgr.stats().CacheSlots, size_t(1) << 10);
+  EXPECT_LT(Mgr.memoryEstimate(), Reference.memoryEstimate());
+  uint64_t Resizes = Mgr.stats().CacheResizes;
+  runWideScript(Mgr, After);
+  EXPECT_GT(Mgr.stats().CacheResizes, Resizes);
+  EXPECT_GE(Mgr.cacheSlots(), size_t(1) << 12);
+  EXPECT_TRUE(sameNodes(Before, Want));
+  EXPECT_TRUE(sameNodes(After, Want));
+}
+
+TEST(BddTest, LiveHandlesSurviveNodeStorageGrowthAndGc) {
+  // Node storage grows in place inside its reservation. Build a table
+  // well past 2^17 slots — several doublings of the old vector-backed
+  // table — while holding handles to snapshots, then collect, and check
+  // every snapshot is intact and rebuildable to the very same node.
+  BddManager Mgr(20);
+  Rng R(5);
+  std::vector<uint32_t> Minterms;
+  auto minterm = [&](uint32_t Bits) {
+    Bdd M = Mgr.one();
+    for (unsigned V = 0; V < 20; ++V)
+      M &= (Bits >> V) & 1 ? Mgr.var(V) : Mgr.nvar(V);
+    return M;
+  };
+  std::vector<Bdd> Snapshots;
+  std::vector<double> Counts;
+  Bdd Acc = Mgr.zero();
+  for (unsigned I = 0; I < 12000; ++I) {
+    Minterms.push_back(uint32_t(R.below(1u << 20)));
+    Acc |= minterm(Minterms.back());
+    if (I % 1000 == 999) {
+      Snapshots.push_back(Acc);
+      Counts.push_back(Acc.satCount(20));
+    }
+  }
+  ASSERT_GT(Mgr.stats().PeakNodes, size_t(1) << 17);
+
+  size_t Before = Mgr.liveNodeCount();
+  Mgr.gc();
+  EXPECT_LT(Mgr.liveNodeCount(), Before);
+  for (size_t I = 0; I < Snapshots.size(); ++I)
+    EXPECT_EQ(Snapshots[I].satCount(20), Counts[I]) << "snapshot " << I;
+  for (uint32_t Bits : Minterms) {
+    std::vector<bool> Assignment(20);
+    for (unsigned V = 0; V < 20; ++V)
+      Assignment[V] = (Bits >> V) & 1;
+    ASSERT_TRUE(Acc.eval(Assignment));
+  }
+
+  // Rebuilding after the collection reuses free-listed slots and must
+  // land on the retained nodes exactly.
+  Bdd Again = Mgr.zero();
+  for (size_t I = 0; I < Minterms.size(); ++I) {
+    Again |= minterm(Minterms[I]);
+    if (I % 1000 == 999)
+      EXPECT_EQ(Again, Snapshots[I / 1000]) << "rebuild " << I;
+  }
+  EXPECT_EQ(Again, Acc);
 }
 
 /// The conflict-heavy hot-set workload of bench_bdd, shrunk to test

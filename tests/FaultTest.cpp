@@ -211,6 +211,64 @@ TEST(FaultTest, InjectedAllocationFailureThrowsBadAlloc) {
   EXPECT_TRUE(Faulted);
 }
 
+/// A small deterministic workload over 12 variables whose computed cache,
+/// started at 2^4 slots, resizes several times as it runs. Returns every
+/// step's result.
+static std::vector<Bdd> runGrowingWorkload(BddManager &Mgr) {
+  std::vector<Bdd> Pool, Outs;
+  for (unsigned I = 0; I < 8; ++I) {
+    Bdd F = Mgr.zero();
+    for (unsigned K = 0; K < 4; ++K)
+      F |= Mgr.var((I + K) % 12) & !Mgr.var((3 * I + 5 * K + 1) % 12) &
+           Mgr.var((7 * I + K + 2) % 12);
+    Pool.push_back(F);
+  }
+  BddCube Cube = Mgr.makeCube({0, 3, 6, 9});
+  for (unsigned Step = 0; Step < 40; ++Step) {
+    const Bdd &A = Pool[(Step * 5) % Pool.size()];
+    const Bdd &B = Pool[(Step * 3 + 1) % Pool.size()];
+    Bdd Out = Step % 3 == 0   ? A.andExists(B, Cube)
+              : Step % 3 == 1 ? (A ^ B)
+                              : (A | !B);
+    Pool[Step % Pool.size()] = Out;
+    Outs.push_back(Out);
+  }
+  return Outs;
+}
+
+TEST(FaultTest, InjectedFailureDuringStorageGrowthLeavesManagerUsable) {
+  // Fail every allocation point of the workload in turn — node slots,
+  // including the ones that fault fresh node-table pages in, and every
+  // computed-cache resize (the growth array is allocated before the old
+  // one is released). After each failure the manager must be usable and
+  // rerunning the workload must produce the reference result node for
+  // node.
+  BddManager Reference(12, 4);
+  std::vector<Bdd> Want = runGrowingWorkload(Reference);
+  const BddStats RefStats = Reference.stats();
+  ASSERT_GT(RefStats.CacheResizes, 1u) << "the workload must grow the cache";
+  const uint64_t Allocations = RefStats.NodesCreated + RefStats.CacheResizes;
+
+  uint64_t Faulted = 0;
+  for (uint64_t K = 1; K <= Allocations; ++K) {
+    BddManager Mgr(12, 4);
+    Mgr.setFailAfterAllocations(K);
+    try {
+      runGrowingWorkload(Mgr);
+    } catch (const std::bad_alloc &) {
+      ++Faulted;
+    }
+    Mgr.setFailAfterAllocations(0);
+    std::vector<Bdd> Got = runGrowingWorkload(Mgr);
+    BddImporter In(Mgr, Reference);
+    for (size_t I = 0; I < Want.size(); ++I)
+      ASSERT_EQ(In.import(Got[I]), Want[I])
+          << "fault at allocation " << K << ", result " << I;
+  }
+  // Every allocation point was hit exactly once.
+  EXPECT_EQ(Faulted, Allocations);
+}
+
 TEST(FaultTest, FaultInjectionArmsFromEnvironment) {
   ::setenv("GETAFIX_FAULT_ALLOC_AFTER", "40", 1);
   BddManager Mgr(32); // Reads the env var at construction.

@@ -105,14 +105,16 @@ TEST(SessionPoolTest, FootprintAccessorsReportSolverState) {
   size_t Warm = S->memoryFootprint();
   EXPECT_GT(Warm, 0u);
 
-  // A cleared-and-untouched computed cache is discounted from the
-  // estimate — that drop is what makes the pool's phase-1 valve
-  // meaningful — and the next solve warms it back up.
+  // Clearing releases the computed cache to its floor, and the estimate
+  // drops by what was freed — that drop is what makes the pool's phase-1
+  // valve meaningful. A query too light to regrow the cache leaves it
+  // released, and the estimate keeps counting it at the floor.
   S->clearComputedCache();
   size_t Cold = S->memoryFootprint();
   EXPECT_LT(Cold, Warm);
   EXPECT_FALSE(solveLabel(*S, "SAFE").Reachable);
-  EXPECT_GT(S->memoryFootprint(), Cold);
+  EXPECT_GE(S->memoryFootprint(), Cold);
+  EXPECT_LT(S->memoryFootprint(), Warm);
 }
 
 //===----------------------------------------------------------------------===//
@@ -227,8 +229,8 @@ TEST(SessionPoolTest, MaxSessionsEvictsLeastRecentlyUsed) {
 }
 
 TEST(SessionPoolTest, CacheClearValveFiresBeforeEviction) {
-  // Measure the fixture's warm (cache counted) and cold (cache cleared
-  // and discounted) footprints outside the pool.
+  // Measure the fixture's warm and cold (cache released to its floor)
+  // footprints outside the pool.
   size_t Warm, Cold;
   {
     auto S = api::Solver::open(api::Query::fromSource(seqFixture()), {});
@@ -265,6 +267,46 @@ TEST(SessionPoolTest, CacheClearValveFiresBeforeEviction) {
   ASSERT_TRUE(L.ok());
   EXPECT_FALSE(L.reopened());
   EXPECT_FALSE(solveLabel(L.session(), "SAFE").Reachable);
+}
+
+TEST(SessionPoolTest, ClearedCachesStillCountSoPhaseTwoEvicts) {
+  // The regression this pins: a cleared computed cache used to be
+  // discounted from the footprint although it stayed allocated, so once
+  // phase 1 had cleared every session, a budget the sessions' nodes fit
+  // never evicted — however many sessions piled up. Clearing now
+  // releases the cache to a floor that the footprint counts, so a budget
+  // that covers the nodes and nothing else must evict after the clears.
+  size_t PerNode;
+  {
+    BddManager M(1);
+    size_t Empty = M.memoryEstimate();
+    Bdd X = M.var(0);
+    PerNode = M.memoryEstimate() - Empty;
+  }
+  std::vector<std::string> Sources;
+  size_t NodesOnly = 0;
+  for (unsigned Seed = 1; Seed <= 4; ++Seed) {
+    Sources.push_back(driverSource(Seed, Seed % 2 == 1));
+    auto S = api::Solver::open(api::Query::fromSource(Sources.back()), {});
+    ASSERT_TRUE(S->ok());
+    ASSERT_TRUE(solveLabel(*S, "ERR").ok());
+    NodesOnly += S->liveNodes() * PerNode;
+  }
+
+  PoolOptions Opts;
+  Opts.MemoryBudgetBytes = NodesOnly;
+  SessionPool Pool(Opts);
+  for (size_t I = 0; I < Sources.size(); ++I) {
+    SessionPool::Lease L =
+        Pool.acquire("p" + std::to_string(I), loaderFor(Sources[I]));
+    ASSERT_TRUE(L.ok());
+    EXPECT_EQ(solveLabel(L.session(), "ERR").Reachable, I % 2 == 0);
+  }
+  PoolStats PS = Pool.stats();
+  EXPECT_GE(PS.CacheClears, 1u);
+  EXPECT_GE(PS.Evictions, 1u);
+  EXPECT_LT(PS.ResidentSessions, Sources.size());
+  EXPECT_LE(PS.FootprintBytes, Opts.MemoryBudgetBytes);
 }
 
 TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {

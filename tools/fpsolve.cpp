@@ -33,7 +33,8 @@
 ///                     cost gate of the intra-SCC parallelism: fan a round
 ///                     out only when the previous round allocated >= n BDD
 ///                     nodes (0 = auto, cacheSlots()/2)
-///     --cache-bits n  BDD computed cache of 2^n entries (default 18)
+///     --cache-bits n  starting size of the BDD computed cache, 2^n entries
+///                     (default 18); it grows with the work
 ///     --frontier-cofactor {constrain,restrict,off}
 ///                     generalized cofactor of narrow delta rounds
 ///     --no-constrain  alias for --frontier-cofactor off

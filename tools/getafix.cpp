@@ -47,7 +47,8 @@
 ///                        Summary_<proc> per call-graph SCC; verdicts and
 ///                        witnesses are bit-identical either way — A/B
 ///                        escape hatch; see --stats condensation_width)
-///     --cache-bits n     BDD computed cache of 2^n entries (default 18)
+///     --cache-bits n     starting size of the BDD computed cache, 2^n
+///                        entries (default 18); it grows with the work
 ///     --timeout-ms n     wall-clock deadline per solve in milliseconds
 ///                        (0 = none); a hit deadline prints
 ///                        "TIMEOUT (deadline)" and exits 4
@@ -209,6 +210,11 @@ void printStatsBody(const CliOptions &Opts, const std::string &Engine,
   std::printf("%s\"gc_reclaimed\": %llu,\n", Pad,
               (unsigned long long)R.Bdd.GcReclaimed);
   std::printf("%s\"peak_nodes\": %zu,\n", Pad, R.Bdd.PeakNodes);
+  // What the computed-cache policy did: slots allocated at the end of the
+  // solve and resizes (growth, and releases by a cache clear) during it.
+  std::printf("%s\"cache_slots\": %zu,\n", Pad, R.Bdd.CacheSlots);
+  std::printf("%s\"cache_resizes\": %llu,\n", Pad,
+              (unsigned long long)R.Bdd.CacheResizes);
   if (R.Cofactor.Applications) {
     std::printf("%s\"cofactor\": {\"mode\": \"%s\", \"applications\": %llu, "
                 "\"support_before\": %llu, \"support_after\": %llu},\n",

@@ -50,7 +50,8 @@
 ///                        split (see getafix --monolithic-summary); the
 ///                        `stats` response reports the resulting
 ///                        condensation width
-///     --cache-bits N     BDD computed cache of 2^N entries
+///     --cache-bits N     starting size of the BDD computed cache, 2^N
+///                        entries; it grows with the work
 ///     --context-bound K / --rounds R / --round-robin
 ///                        concurrent-program knobs (as in getafix)
 ///     --strategy S       naive | semi-naive
